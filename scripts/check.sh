@@ -21,8 +21,9 @@ go build ./...
 echo "== go test -race ./... (invariant auditor forced on)"
 VLT_AUDIT=on go test -race ./...
 
-echo "== golden metrics (testdata/metrics_base_mxm.golden)"
+echo "== golden metrics (testdata/metrics_base_mxm.golden) and figures (results.txt tables)"
 go test -run TestGoldenMetrics .
+go test -run TestGoldenFigures ./cmd/vltexp
 
 echo "== fuzz smoke (5s per target)"
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm
