@@ -66,8 +66,8 @@ func (m *Machine) PartitionChoices() []int {
 }
 
 // Fork returns a deep copy of the machine at its current point in the
-// run: architectural state, cache hierarchies, every pipeline's queues
-// (with the in-flight uop graph's aliasing preserved), guard state,
+// run: architectural state, cache hierarchies, the in-flight uop slab
+// and every pipeline's queues of handles into it, guard state,
 // metrics and recorded samples. Parent and clone share no mutable
 // state — only immutable structure (the program, its decoded
 // instructions) — so both can be simulated independently, including
@@ -79,11 +79,11 @@ func (m *Machine) PartitionChoices() []int {
 // including an armed fault injection and the watchdog's stall window,
 // forks with the machine.
 func (m *Machine) Fork() *Machine {
-	cl := pipe.NewCloner()
 	n := &Machine{
 		cfg:         m.cfg,
 		vm:          m.vm.Clone(),
 		l2:          m.l2.Clone(),
+		slab:        m.slab.Clone(),
 		now:         m.now,
 		frozen:      m.frozen,
 		injected:    m.injected,
@@ -102,19 +102,18 @@ func (m *Machine) Fork() *Machine {
 		n.regionCycles[id] = c
 	}
 
-	// Components. The scalar units and lane cores own the uop arenas, so
-	// they clone first (registering their arenas) and the VCL — whose
-	// queues alias uops from those arenas — after. The vector sink and
-	// the retire callbacks reference the parent's assembly and are
-	// re-wired onto the clone's.
+	// Components. Their queues hold slab handles, which name the same
+	// instructions in the cloned slab. The vector sink and the retire
+	// callbacks reference the parent's assembly and are re-wired onto the
+	// clone's.
 	for _, su := range m.sus {
-		n.sus = append(n.sus, su.Clone(cl, n.vm, n.l2))
+		n.sus = append(n.sus, su.Clone(n.vm, n.l2, n.slab))
 	}
 	for _, c := range m.lcs {
-		n.lcs = append(n.lcs, c.Clone(cl, n.vm, n.l2))
+		n.lcs = append(n.lcs, c.Clone(n.vm, n.l2, n.slab))
 	}
 	if m.vu != nil {
-		n.vu = m.vu.Clone(cl, n.l2)
+		n.vu = m.vu.Clone(n.l2, n.slab)
 		for _, su := range n.sus {
 			su.SetVectorSink(n.vu)
 		}

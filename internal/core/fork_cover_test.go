@@ -15,9 +15,10 @@ func TestForkCoversMachine(t *testing.T) {
 		"cfg":  "value copy, with ForkAt cleared (hooks do not survive a fork)",
 		"vm":   "deep copy via vm.VM.Clone",
 		"l2":   "deep copy via mem.L2.Clone",
-		"vu":   "deep copy via vcl.VCL.Clone, rebased onto the cloned L2",
-		"sus":  "deep copy via scalar.Unit.Clone, sharing one Cloner so cross-unit uop edges survive",
-		"lcs":  "deep copy via lane.Core.Clone, sharing the same Cloner",
+		"slab": "deep copy via pipe.Slab.Clone; handles stay valid in the copy",
+		"vu":   "deep copy via vcl.VCL.Clone, rebased onto the cloned L2 and slab",
+		"sus":  "deep copy via scalar.Unit.Clone, rebased onto the cloned slab",
+		"lcs":  "deep copy via lane.Core.Clone, rebased onto the cloned slab",
 		"locs": "value copy of the slice (location holds only scalars)",
 
 		"region": "value copy of the slice",

@@ -109,6 +109,7 @@ type Machine struct {
 	cfg  Config
 	vm   *vm.VM
 	l2   *mem.L2
+	slab *pipe.Slab // every in-flight uop, shared by all components
 	vu   *vcl.VCL
 	sus  []*scalar.Unit
 	lcs  []*lane.Core
@@ -176,13 +177,14 @@ func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
 		cfg:          cfg,
 		vm:           machine,
 		l2:           mem.NewL2(cfg.L2),
+		slab:         &pipe.Slab{},
 		region:       make([]int64, cfg.NumThreads),
 		regionCycles: make(map[int64]uint64),
 		noskip:       cfg.NoSkip || noskipEnv(),
 	}
 
 	if cfg.Lanes > 0 && !cfg.LaneScalarMode {
-		m.vu = vcl.New(cfg.VCL, m.l2, cfg.Lanes)
+		m.vu = vcl.New(cfg.VCL, m.l2, cfg.Lanes, m.slab)
 		owners := make([]int, cfg.InitialPartitions)
 		for i := range owners {
 			owners[i] = i
@@ -196,7 +198,7 @@ func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
 	m.locs = make([]location, cfg.NumThreads)
 	if cfg.LaneScalarMode {
 		for t := 0; t < cfg.NumThreads; t++ {
-			c := lane.New(t, cfg.LaneCore, m.vm, m.l2)
+			c := lane.New(t, cfg.LaneCore, m.vm, m.l2, m.slab)
 			c.AttachThread(t)
 			tid := t
 			c.OnRetire = func(u *pipe.Uop) { m.onRetire(tid, u) }
@@ -214,7 +216,7 @@ func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
 	}
 	next := 0
 	for i, sc := range cfg.SUs {
-		su := scalar.New(i, sc, m.vm, m.l2, sink)
+		su := scalar.New(i, sc, m.vm, m.l2, sink, m.slab)
 		su.OnRetire = func(u *pipe.Uop) { m.onRetire(u.Thread, u) }
 		m.sus = append(m.sus, su)
 		for s := 0; s < sc.Contexts && next < cfg.NumThreads; s++ {
@@ -333,6 +335,30 @@ func (m *Machine) L2() *mem.L2 { return m.l2 }
 // Now returns the machine's current cycle: the next cycle the run loop
 // will execute (equivalently, the number of cycles fully simulated).
 func (m *Machine) Now() uint64 { return m.now }
+
+// Slab exposes the slab holding every in-flight uop. Live internals,
+// same contract as VM.
+func (m *Machine) Slab() *pipe.Slab { return m.slab }
+
+// SlotCapacity returns the structural bound on live slab slots: every
+// fetch queue, reorder buffer, scheduler window, VIQ, vector window and
+// lane queue full at once.
+func (m *Machine) SlotCapacity() int {
+	n := 0
+	for _, su := range m.sus {
+		c := su.Config()
+		n += c.Contexts*3*c.Width + c.ROBSize + c.WindowSize
+	}
+	if m.vu != nil {
+		c := m.vu.Config()
+		n += c.VIQSize + c.WindowSize
+	}
+	for _, lc := range m.lcs {
+		c := lc.Config()
+		n += c.DecoupleWindow + c.Width + c.RetireQueue
+	}
+	return n
+}
 
 func (m *Machine) onRetire(tid int, u *pipe.Uop) {
 	m.ring.Push(m.now, tid, u.Dyn.PC, u.Dyn.Inst)

@@ -1,58 +1,35 @@
 package lane
 
 import (
+	"vlt/internal/isa"
 	"vlt/internal/mem"
 	"vlt/internal/pipe"
 	"vlt/internal/vm"
 )
 
 // This file implements deep copying of a lane core for machine forking
-// (core.Machine.Fork). The core owns its I-cache, predictor, queues and
-// uop arena; it borrows the functional machine and the shared L2, which
-// the caller rebases onto the clone's copies.
+// (core.Machine.Fork). The core owns its I-cache, predictor and queues;
+// it borrows the functional machine, the shared L2 and the machine's uop
+// slab, which the caller rebases onto the clone's copies. Queues and
+// scoreboards hold slab handles, so they copy by value.
 
 // Clone returns a deep copy of the core running against the given
-// (cloned) functional machine and L2. The core's arena is registered on
-// cl before any uop is cloned. The OnRetire callback is NOT carried
-// over — it closes over the parent machine; the caller re-wires it.
-func (c *Core) Clone(cl *pipe.Cloner, vmach *vm.VM, l2 *mem.L2) *Core {
-	n := &Core{
-		ID:          c.ID,
-		cfg:         c.cfg,
-		vmach:       vmach,
-		icache:      c.icache.Clone(l2),
-		l2:          l2,
-		pred:        c.pred.Clone(),
-		tid:         c.tid,
-		active:      c.active,
-		haltFetched: c.haltFetched,
-		stallUntil:  c.stallUntil,
-		curLine:     c.curLine,
-		Err:         c.Err,
-
-		Fetched:      c.Fetched,
-		Issued:       c.Issued,
-		Retired:      c.Retired,
-		StallOperand: c.StallOperand,
-		StallMemPort: c.StallMemPort,
-	}
-	cl.RegisterArena(&c.arena, &n.arena)
-	// fetchQ may contain positional nil holes (issued entries not yet
-	// compacted); Cloner.Uop(nil) == nil preserves them in place.
-	n.fetchQ = make([]*pipe.Uop, 0, cap(c.fetchQ))
-	for _, u := range c.fetchQ {
-		n.fetchQ = append(n.fetchQ, cl.Uop(u))
-	}
-	n.robArr = make([]*pipe.Uop, 0, cap(c.robArr))
+// (cloned) functional machine, L2 and uop slab. The OnRetire callback
+// is NOT carried over — it closes over the parent machine; the caller
+// re-wires it.
+func (c *Core) Clone(vmach *vm.VM, l2 *mem.L2, slab *pipe.Slab) *Core {
+	n := *c
+	n.vmach = vmach
+	n.icache = c.icache.Clone(l2)
+	n.l2 = l2
+	n.pred = c.pred.Clone()
+	n.slab = slab
+	n.OnRetire = nil
+	// fetchQ may contain positional None holes (issued entries not yet
+	// compacted); the copy keeps them in place.
+	n.fetchQ = append(make([]pipe.Handle, 0, cap(c.fetchQ)), c.fetchQ...)
+	n.robArr = append(make([]pipe.Handle, 0, cap(c.robArr)), c.rob...)
 	n.rob = n.robArr
-	for _, u := range c.rob {
-		n.rob = append(n.rob, cl.Uop(u))
-	}
-	for r := range c.lastWriter {
-		n.lastWriter[r] = cl.Uop(c.lastWriter[r])
-	}
-	n.pendingBranch = cl.Uop(c.pendingBranch)
-	n.blockedUop = cl.Uop(c.blockedUop)
-	n.regScratch = append(n.regScratch, c.regScratch...)[:0]
-	return n
+	n.regScratch = make([]isa.Reg, 0, cap(c.regScratch))
+	return &n
 }

@@ -18,22 +18,22 @@ func TestCloneCoversCore(t *testing.T) {
 		"icache": "deep copy, rebased onto the caller's cloned L2",
 		"l2":     "rebased onto the caller's cloned L2",
 		"pred":   "deep copy",
+		"slab":   "rebased onto the caller's cloned slab",
 
 		"tid":    "value copy",
 		"active": "value copy",
 
-		"fetchQ": "rebuilt via Cloner.Uop, preserving positional nil holes",
-		"rob":    "rebuilt via Cloner.Uop onto a fresh base array",
+		"fetchQ": "handles copied, preserving positional None holes",
+		"rob":    "handles copied onto a fresh base array",
 		"robArr": "fresh base array at the original capacity (rob rebased at offset 0)",
 
 		"regScratch": "reset: per-fetch scratch",
-		"arena":      "reset: fresh slab, registered with the Cloner so cloned uops land here",
 
-		"lastWriter": "per-register map through Cloner.Uop",
+		"lastWriter": "value copy (array of handles)",
 
 		"haltFetched":   "value copy",
-		"pendingBranch": "mapped through Cloner.Uop (aliases a ROB entry)",
-		"blockedUop":    "mapped through Cloner.Uop (aliases a ROB entry)",
+		"pendingBranch": "value copy (handle)",
+		"blockedUop":    "value copy (handle)",
 		"stallUntil":    "value copy",
 		"curLine":       "value copy",
 

@@ -27,7 +27,7 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	// Retirement: the in-order head completes at its DoneCycle (issued
 	// barriers wait on the machine controller and contribute nothing).
 	if len(c.rob) > 0 {
-		h := c.rob[0]
+		h := c.slab.At(c.rob[0])
 		if h.Issued && h.DoneCycle != pipe.NeverDone {
 			if h.DoneCycle <= now {
 				return now + 1 // width-limited retirement backlog
@@ -45,7 +45,7 @@ func (c *Core) NextEvent(now uint64) uint64 {
 		window = 1
 	}
 	for slot := 0; slot < len(c.fetchQ) && slot < window; slot++ {
-		u := c.fetchQ[slot]
+		u := c.slab.Get(c.fetchQ[slot])
 		if u == nil || u.Issued {
 			continue // holes only exist mid-tick; defensive
 		}
@@ -56,7 +56,7 @@ func (c *Core) NextEvent(now uint64) uint64 {
 			}
 			return now + 1 // head control uop issues next cycle
 		}
-		r, known := u.ReadyCycle()
+		r, known := c.slab.ReadyCycle(u)
 		if !known {
 			continue // gated on an unresolved producer
 		}
@@ -76,10 +76,10 @@ func (c *Core) NextEvent(now uint64) uint64 {
 			if c.stallUntil < ev {
 				ev = c.stallUntil
 			}
-		case c.pendingBranch != nil:
-			ev = eventAt(ev, now, c.pendingBranch.DoneCycle)
-		case c.blockedUop != nil:
-			ev = eventAt(ev, now, c.blockedUop.DoneCycle)
+		case c.pendingBranch != pipe.None:
+			ev = eventAt(ev, now, c.slab.At(c.pendingBranch).DoneCycle)
+		case c.blockedUop != pipe.None:
+			ev = eventAt(ev, now, c.slab.DoneCycle(c.blockedUop))
 		default:
 			if len(c.fetchQ) < c.cfg.DecoupleWindow+c.cfg.Width &&
 				len(c.rob) < c.cfg.RetireQueue {
@@ -123,7 +123,7 @@ func (c *Core) SkipIdle(from, to uint64) {
 	}
 	stalls := uint64(0)
 	for slot := 0; slot < len(c.fetchQ) && slot < window; slot++ {
-		u := c.fetchQ[slot]
+		u := c.slab.Get(c.fetchQ[slot])
 		if u == nil || u.Issued {
 			continue
 		}

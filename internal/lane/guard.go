@@ -20,8 +20,8 @@ func (c *Core) CheckInvariants() error {
 	if max := c.cfg.DecoupleWindow + c.cfg.Width; len(c.fetchQ) > max {
 		return fmt.Errorf("lane%d: fetch queue holds %d entries, capacity %d", c.ID, len(c.fetchQ), max)
 	}
-	for _, u := range c.fetchQ {
-		if u != nil && (u.Issued || u.Retired) {
+	for _, h := range c.fetchQ {
+		if u := c.slab.Get(h); u != nil && (u.Issued || u.Retired) {
 			return fmt.Errorf("lane%d: fetch-queue entry t%d @%d (%s) is issued=%t retired=%t",
 				c.ID, u.Thread, u.Dyn.PC, u.Dyn.Inst, u.Issued, u.Retired)
 		}
@@ -46,11 +46,11 @@ func (c *Core) DebugDump(now uint64) string {
 	if c.haltFetched {
 		state += " halt-fetched"
 	}
-	if c.pendingBranch != nil {
-		state += fmt.Sprintf(" branch-stalled@%d", c.pendingBranch.Dyn.PC)
+	if b := c.slab.Get(c.pendingBranch); b != nil {
+		state += fmt.Sprintf(" branch-stalled@%d", b.Dyn.PC)
 	}
-	if c.blockedUop != nil {
-		state += fmt.Sprintf(" blocked-on-%s", c.blockedUop.Dyn.Inst.Op)
+	if b := c.slab.Get(c.blockedUop); b != nil {
+		state += fmt.Sprintf(" blocked-on-%s", b.Dyn.Inst.Op)
 	}
 	if c.stallUntil > now {
 		state += fmt.Sprintf(" stalled-until-%d", c.stallUntil)
@@ -60,7 +60,7 @@ func (c *Core) DebugDump(now uint64) string {
 		c.ID, c.tid, c.vmach.Thread(c.tid).PC, len(c.fetchQ), len(c.rob), c.cfg.RetireQueue,
 		c.Fetched, c.Issued, c.Retired, state)
 	if len(c.rob) > 0 {
-		h := c.rob[0]
+		h := c.slab.At(c.rob[0])
 		fmt.Fprintf(&sb, "  head t%d @%-5d %-24s issued=%t done@%d\n",
 			h.Thread, h.Dyn.PC, h.Dyn.Inst, h.Issued, h.DoneCycle)
 	}

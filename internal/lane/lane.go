@@ -47,27 +47,31 @@ type Core struct {
 	icache *mem.L1
 	l2     *mem.L2
 	pred   *pipe.Bimodal
+	slab   *pipe.Slab // the machine's in-flight uops
 
 	tid    int
 	active bool
 
-	fetchQ []*pipe.Uop // fetched, not yet issued (program order, may have holes)
-	rob    []*pipe.Uop // all in-flight uops in program order (retire queue)
+	fetchQ []pipe.Handle // fetched, not yet issued (program order, None holes)
+	rob    []pipe.Handle // all in-flight uops in program order (retire queue)
 
 	// robArr is rob's base array: retirement pops by reslicing from the
 	// front, so the queue is rewound onto it whenever it empties to keep
 	// append from allocating fresh backing stores all run long (fetchQ
 	// compacts in place and needs no rewind).
-	robArr []*pipe.Uop
+	robArr []pipe.Handle
 
-	regScratch []isa.Reg  // AppendSrcs/AppendDests scratch for fetch
-	arena      pipe.Arena // slab allocator for this core's uops
+	regScratch []isa.Reg // AppendSrcs/AppendDests scratch for fetch
 
-	lastWriter [isa.NumRegs]*pipe.Uop
+	// lastWriter may hold stale handles: a freed writer has retired and
+	// gates nothing.
+	lastWriter [isa.NumRegs]pipe.Handle
 
-	haltFetched   bool
-	pendingBranch *pipe.Uop
-	blockedUop    *pipe.Uop
+	haltFetched bool
+	// pendingBranch keeps its slot past retirement until fetch has read
+	// its DoneCycle for the redirect (see scalar's context).
+	pendingBranch pipe.Handle
+	blockedUop    pipe.Handle
 	stallUntil    uint64
 	curLine       uint64
 
@@ -85,8 +89,9 @@ type Core struct {
 	StallMemPort uint64
 }
 
-// New builds a lane core over the shared L2.
-func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2) *Core {
+// New builds a lane core over the shared L2, allocating its uops in the
+// machine's slab.
+func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2, slab *pipe.Slab) *Core {
 	if cfg.Width == 0 {
 		cfg = DefaultConfig()
 	}
@@ -97,14 +102,18 @@ func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2) *Core {
 		icache:  mem.NewL1(cfg.ICache, l2),
 		l2:      l2,
 		pred:    pipe.NewBimodal(cfg.PredictorEntries),
+		slab:    slab,
 		tid:     -1,
 		curLine: ^uint64(0),
 	}
-	c.fetchQ = make([]*pipe.Uop, 0, cfg.DecoupleWindow+cfg.Width)
-	c.robArr = make([]*pipe.Uop, 0, cfg.RetireQueue)
+	c.fetchQ = make([]pipe.Handle, 0, cfg.DecoupleWindow+cfg.Width)
+	c.robArr = make([]pipe.Handle, 0, cfg.RetireQueue)
 	c.rob = c.robArr
 	return c
 }
+
+// Config returns the core's configuration.
+func (c *Core) Config() Config { return c.cfg }
 
 // ICache exposes the lane instruction cache (statistics).
 func (c *Core) ICache() *mem.L1 { return c.icache }
@@ -144,7 +153,7 @@ func (c *Core) BarrierWaiting() *pipe.Uop {
 	if len(c.rob) == 0 {
 		return nil
 	}
-	h := c.rob[0]
+	h := c.slab.At(c.rob[0])
 	if h.Dyn.IsBarrier && h.Issued && h.DoneCycle == pipe.NeverDone {
 		return h
 	}
@@ -164,12 +173,12 @@ func (c *Core) Tick(now uint64) {
 func (c *Core) retire(now uint64) {
 	budget := c.cfg.Width
 	for budget > 0 && len(c.rob) > 0 {
-		h := c.rob[0]
+		hd := c.rob[0]
+		h := c.slab.At(hd)
 		if !h.Issued || !h.DoneBy(now) {
 			return
 		}
 		h.Retired = true
-		c.rob[0] = nil
 		c.rob = c.rob[1:]
 		if len(c.rob) == 0 {
 			c.rob = c.robArr[:0]
@@ -179,18 +188,11 @@ func (c *Core) retire(now uint64) {
 		if c.OnRetire != nil {
 			c.OnRetire(h)
 		}
-		// Unpin the uop from last-writer tracking (producer capture
-		// filters on Retired, so entries only pin dead uops).
-		c.regScratch = h.Dyn.Inst.AppendDests(c.regScratch[:0])
-		for _, r := range c.regScratch {
-			if c.lastWriter[r] == h {
-				c.lastWriter[r] = nil
-				h.Release()
-			}
+		// The retire queue is the last owner, except of a branch still
+		// gating fetch, which fetch frees.
+		if hd != c.pendingBranch {
+			c.slab.Free(hd)
 		}
-		// Nothing reads this uop's edges again: break the producer chain.
-		// This may recycle h, so it must be the last use of it.
-		h.ReleaseProducers()
 	}
 }
 
@@ -206,8 +208,11 @@ func (c *Core) issue(now uint64) {
 		window = 1
 	}
 	for slot := 0; slot < len(c.fetchQ) && slot < window && issued < c.cfg.Width; slot++ {
-		u := c.fetchQ[slot]
-		if u == nil || u.Issued {
+		if c.fetchQ[slot] == pipe.None {
+			continue
+		}
+		u := c.slab.At(c.fetchQ[slot])
+		if u.Issued {
 			continue
 		}
 		info := u.Dyn.Inst.Op.Info()
@@ -236,7 +241,7 @@ func (c *Core) issue(now uint64) {
 			continue
 		}
 
-		if !u.ReadyBy(now) {
+		if !c.slab.ReadyBy(u, now) {
 			c.StallOperand++
 			continue
 		}
@@ -266,13 +271,10 @@ func (c *Core) issue(now uint64) {
 // issued holes so the lookahead window keeps sliding.
 func (c *Core) compactFetchQ() {
 	dst := c.fetchQ[:0]
-	for _, u := range c.fetchQ {
-		if u != nil {
-			dst = append(dst, u)
+	for _, h := range c.fetchQ {
+		if h != pipe.None {
+			dst = append(dst, h)
 		}
-	}
-	for i := len(dst); i < len(c.fetchQ); i++ {
-		c.fetchQ[i] = nil
 	}
 	c.fetchQ = dst
 }
@@ -281,7 +283,7 @@ func (c *Core) advance(u *pipe.Uop, now uint64, slot int) {
 	u.Issued = true
 	u.IssueCycle = now
 	u.ChainCycle = u.DoneCycle
-	c.fetchQ[slot] = nil
+	c.fetchQ[slot] = pipe.None
 	c.Issued++
 }
 
@@ -289,23 +291,25 @@ func (c *Core) fetch(now uint64) {
 	if c.haltFetched || c.stallUntil > now {
 		return
 	}
-	if c.pendingBranch != nil {
-		if !c.pendingBranch.DoneBy(now) {
+	if c.pendingBranch != pipe.None {
+		b := c.slab.At(c.pendingBranch)
+		if !b.DoneBy(now) {
 			return
 		}
-		c.stallUntil = c.pendingBranch.DoneCycle + uint64(c.cfg.MispredictPenalty)
-		c.pendingBranch.Release()
-		c.pendingBranch = nil
+		c.stallUntil = b.DoneCycle + uint64(c.cfg.MispredictPenalty)
+		if b.Retired {
+			c.slab.Free(c.pendingBranch)
+		}
+		c.pendingBranch = pipe.None
 		if c.stallUntil > now {
 			return
 		}
 	}
-	if c.blockedUop != nil {
-		if !c.blockedUop.DoneBy(now) {
+	if c.blockedUop != pipe.None {
+		if c.slab.DoneCycle(c.blockedUop) > now {
 			return
 		}
-		c.blockedUop.Release()
-		c.blockedUop = nil
+		c.blockedUop = pipe.None
 	}
 	for i := 0; i < c.cfg.Width; i++ {
 		if len(c.fetchQ) >= c.cfg.DecoupleWindow+c.cfg.Width {
@@ -325,31 +329,28 @@ func (c *Core) fetch(now uint64) {
 			}
 			c.curLine = line
 		}
-		dyn, err := c.vmach.StepReusing(c.tid, c.arena.RecycleDyn())
+		h := c.slab.New(c.tid, now)
+		u := c.slab.At(h)
+		dyn, err := c.vmach.StepReusing(c.tid, &u.Dyn)
 		if err != nil {
+			c.slab.Free(h)
 			c.Err = err
 			return
 		}
-		u := c.arena.NewUop(dyn, c.tid, now)
 		// Record producers at fetch (the core has no rename stage;
 		// in-order issue makes fetch-time capture safe).
 		c.regScratch = dyn.Inst.AppendSrcs(c.regScratch[:0])
 		for _, r := range c.regScratch {
-			if w := c.lastWriter[r]; w != nil && !w.Retired {
-				w.Retain()
-				u.Producers = append(u.Producers, w)
+			if w := c.slab.Get(c.lastWriter[r]); w != nil && !w.Retired {
+				u.Producers.Add(c.lastWriter[r])
 			}
 		}
 		c.regScratch = dyn.Inst.AppendDests(c.regScratch[:0])
 		for _, r := range c.regScratch {
-			if old := c.lastWriter[r]; old != nil {
-				old.Release()
-			}
-			u.Retain()
-			c.lastWriter[r] = u
+			c.lastWriter[r] = h
 		}
-		c.fetchQ = append(c.fetchQ, u)
-		c.rob = append(c.rob, u)
+		c.fetchQ = append(c.fetchQ, h)
+		c.rob = append(c.rob, h)
 		c.Fetched++
 
 		if dyn.Branch {
@@ -360,8 +361,7 @@ func (c *Core) fetch(now uint64) {
 			}
 			if !correct {
 				u.Mispredicted = true
-				u.Retain()
-				c.pendingBranch = u
+				c.pendingBranch = h
 				return
 			}
 			if dyn.Taken {
@@ -370,8 +370,7 @@ func (c *Core) fetch(now uint64) {
 			continue
 		}
 		if dyn.IsBarrier {
-			u.Retain()
-			c.blockedUop = u
+			c.blockedUop = h
 			return
 		}
 		if dyn.IsHalt {

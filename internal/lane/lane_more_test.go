@@ -20,7 +20,7 @@ func runCoreCfg(t *testing.T, b *asm.Builder, cfg Config) (*Core, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(0, cfg, machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, cfg, machine, mem.NewL2(mem.DefaultL2Config()), &pipe.Slab{})
 	c.AttachThread(0)
 	var now uint64
 	for ; !c.Done(); now++ {
@@ -121,7 +121,7 @@ func TestRetireOrderWithLookahead(t *testing.T) {
 	b.Halt()
 	prog := b.MustAssemble()
 	machine, _ := vm.New(prog, 1)
-	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()), &pipe.Slab{})
 	c.AttachThread(0)
 	var pcs []int
 	c.OnRetire = func(u *pipe.Uop) { pcs = append(pcs, u.Dyn.PC) }
@@ -154,7 +154,7 @@ func TestBarrierIsSequencingPoint(t *testing.T) {
 	b.Halt()
 	prog := b.MustAssemble()
 	machine, _ := vm.New(prog, 1)
-	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()), &pipe.Slab{})
 	c.AttachThread(0)
 	for now := uint64(0); now < 300; now++ {
 		c.Tick(now)

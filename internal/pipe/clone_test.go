@@ -6,13 +6,13 @@ import (
 	"vlt/internal/clonecheck"
 )
 
-// Every field of the structs Cloner copies must declare its clone
+// Every field of the structs Slab.Clone copies must declare its clone
 // semantics here; clonecheck fails this test when a field is added
 // without one (or an entry goes stale).
 
 func TestCloneCoversUop(t *testing.T) {
 	clonecheck.Check(t, &Uop{}, map[string]string{
-		"Dyn":             "deep copy via Cloner.Dyn (memoized)",
+		"Dyn":             "deep copy via vm.Dyn.Clone for live slots; reset for free ones",
 		"Thread":          "value copy",
 		"FetchCycle":      "value copy",
 		"DispatchCycle":   "value copy",
@@ -22,21 +22,20 @@ func TestCloneCoversUop(t *testing.T) {
 		"ChainCycle":      "value copy",
 		"Issued":          "value copy",
 		"Retired":         "value copy",
+		"VecDone":         "value copy",
 		"Mispredicted":    "value copy",
-		"Producers":       "deep copy via Cloner.Uop, preserving nil vs prodBuf-backed",
-		"ScalarProducers": "deep copy via Cloner.Uop, preserving nil vs non-nil-empty sentinel",
-		"prodBuf":         "clone's own buffer backs its Producers when small enough",
-		"refs":            "value copy (aliasing structure is preserved, so counts stay consistent)",
-		"freed":           "value copy",
-		"arena":           "mapped to the clone's arena via Cloner.RegisterArena",
+		"Producers":       "value copy (inline handles)",
+		"ScalarProducers": "value copy (inline handles)",
+		"gen":             "value copy: handles stay valid in the copy",
+		"live":            "value copy",
 	})
 }
 
-func TestCloneCoversArena(t *testing.T) {
-	clonecheck.Check(t, &Arena{}, map[string]string{
-		"slab":     "reset: clone arenas start empty and allocate on demand (timing never observes slabs)",
-		"freeUops": "reset: free lists refill as the clone recycles its own uops",
-		"freeDyns": "reset: same as freeUops",
+func TestCloneCoversSlab(t *testing.T) {
+	clonecheck.Check(t, &Slab{}, map[string]string{
+		"chunks": "deep copy (fresh chunk arrays)",
+		"n":      "value copy",
+		"free":   "deep copy",
 	})
 }
 
@@ -66,13 +65,34 @@ func TestBimodalCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestClonerPanicsOnUnregisteredArena(t *testing.T) {
-	var a Arena
-	u := a.NewUop(nil, 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cloning an arena-owned uop without RegisterArena must panic")
-		}
-	}()
-	NewCloner().Uop(u)
+func TestSlabCloneIndependent(t *testing.T) {
+	var s Slab
+	a := s.New(0, 1)
+	s.At(a).Dyn.EffAddrs = append(s.At(a).Dyn.EffAddrs, 64)
+	b := s.New(1, 2)
+	s.Free(b)
+	c := s.Clone()
+
+	// Handles carry over: the copy names the same instructions.
+	if u := c.At(a); u.Thread != 0 || u.FetchCycle != 1 || u.Dyn.EffAddrs[0] != 64 {
+		t.Fatalf("cloned slot differs: %+v", u)
+	}
+	if c.Get(b) != nil || c.InUse() != 1 || c.Peak() != 2 {
+		t.Fatalf("clone bookkeeping: stale b live=%v, in use %d, peak %d", c.Get(b) != nil, c.InUse(), c.Peak())
+	}
+
+	// Writes to either side, address buffers included, stay on that side.
+	c.At(a).DoneCycle = 7
+	c.At(a).Dyn.EffAddrs[0] = 128
+	if u := s.At(a); u.DoneCycle != NeverDone || u.Dyn.EffAddrs[0] != 64 {
+		t.Errorf("clone write reached the parent: done %d, addr %d", u.DoneCycle, u.Dyn.EffAddrs[0])
+	}
+	c.Free(a)
+	if s.Get(a) == nil {
+		t.Error("freeing in the clone freed the parent's slot")
+	}
+	s.New(2, 3)
+	if s.InUse() != 2 || c.InUse() != 0 {
+		t.Errorf("in use: parent %d, clone %d; want 2, 0", s.InUse(), c.InUse())
+	}
 }

@@ -1,6 +1,7 @@
 package scalar
 
 import (
+	"vlt/internal/isa"
 	"vlt/internal/mem"
 	"vlt/internal/pipe"
 	"vlt/internal/vm"
@@ -8,93 +9,51 @@ import (
 
 // This file implements deep copying of the scalar unit for machine
 // forking (core.Machine.Fork). Ownership rules: the unit owns its
-// caches, predictor, SMT contexts, scheduler window and uop arena; it
-// borrows the functional machine, the shared L2 and the vector sink,
-// which the caller rebases onto the clone's copies. All uop pointers
-// funnel through the shared pipe.Cloner so aliasing with the VCL's
-// queues (vector uops sit in an SU ROB *and* a VCL partition at once)
-// is preserved.
+// caches, predictor, SMT contexts and scheduler window; it borrows the
+// functional machine, the shared L2, the machine's uop slab and the
+// vector sink, which the caller rebases onto the clone's copies. Queues
+// and scoreboards hold slab handles, which name the same instructions
+// in the cloned slab, so they copy by value.
 
 // Clone returns a deep copy of the unit running against the given
-// (cloned) functional machine and L2. The unit's arena is registered on
-// cl before any uop is cloned — the VCL's queues hold uops allocated
-// here, so the machine must clone its scalar units before its VCL. The
-// OnRetire callback and the vector sink are NOT carried over: both
-// reference the parent machine's assembly; the caller sets them with
-// direct assignment and SetVectorSink.
-func (u *Unit) Clone(cl *pipe.Cloner, vmach *vm.VM, l2 *mem.L2) *Unit {
-	n := &Unit{
-		ID:       u.ID,
-		cfg:      u.cfg,
-		vmach:    vmach,
-		icache:   u.icache.Clone(l2),
-		dcache:   u.dcache.Clone(l2),
-		pred:     u.pred.Clone(),
-		fetchRR:  u.fetchRR,
-		retireRR: u.retireRR,
-		Err:      u.Err,
-		dropNext: u.dropNext,
-
-		Fetched:     u.Fetched,
-		Dispatched:  u.Dispatched,
-		IssuedCount: u.IssuedCount,
-		Retired:     u.Retired,
-
-		FetchStallBranch: u.FetchStallBranch,
-		FetchStallICache: u.FetchStallICache,
-		DispStallROB:     u.DispStallROB,
-		DispStallWindow:  u.DispStallWindow,
-		DispStallVIQ:     u.DispStallVIQ,
-	}
-	cl.RegisterArena(&u.arena, &n.arena)
-	n.window = make([]*pipe.Uop, 0, cap(u.window))
-	for _, w := range u.window {
-		n.window = append(n.window, cl.Uop(w))
-	}
-	for _, c := range u.ctxs {
-		n.ctxs = append(n.ctxs, c.clone(cl))
+// (cloned) functional machine, L2 and uop slab. The OnRetire callback
+// and the vector sink are NOT carried over: both reference the parent
+// machine's assembly; the caller sets them with direct assignment and
+// SetVectorSink.
+func (u *Unit) Clone(vmach *vm.VM, l2 *mem.L2, slab *pipe.Slab) *Unit {
+	n := *u
+	n.vmach = vmach
+	n.icache = u.icache.Clone(l2)
+	n.dcache = u.dcache.Clone(l2)
+	n.pred = u.pred.Clone()
+	n.slab = slab
+	n.vsink = nil
+	n.OnRetire = nil
+	n.window = append(make([]pipe.Handle, 0, cap(u.window)), u.window...)
+	n.ctxs = make([]*context, len(u.ctxs))
+	for i, c := range u.ctxs {
+		n.ctxs[i] = c.clone()
 	}
 	// Scratch buffers hold no state between cycles; fresh ones at the
 	// original capacities keep the clone's steady state allocation-free.
 	n.fetchReady = make([]*context, 0, cap(u.fetchReady))
-	n.regScratch = append(n.regScratch, u.regScratch...)[:0]
-	return n
+	n.regScratch = make([]isa.Reg, 0, cap(u.regScratch))
+	return &n
 }
 
 // clone returns a deep copy of one SMT context. The fetch queue and ROB
 // are rebased onto fresh full-capacity arrays (the parent's may be
 // mid-array reslices); content and length — everything the timing model
 // observes — are identical.
-func (c *context) clone(cl *pipe.Cloner) *context {
-	n := &context{
-		slot:        c.slot,
-		tid:         c.tid,
-		active:      c.active,
-		robCap:      c.robCap,
-		haltFetched: c.haltFetched,
-		stallUntil:  c.stallUntil,
-		curLine:     c.curLine,
-	}
-	n.fetchQArr = make([]*pipe.Uop, 0, cap(c.fetchQArr))
-	n.robArr = make([]*pipe.Uop, 0, cap(c.robArr))
+func (c *context) clone() *context {
+	n := *c
+	n.fetchQArr = append(make([]pipe.Handle, 0, cap(c.fetchQArr)), c.fetchQ...)
+	n.robArr = append(make([]pipe.Handle, 0, cap(c.robArr)), c.rob...)
 	n.fetchQ = n.fetchQArr
 	n.rob = n.robArr
-	for _, u := range c.fetchQ {
-		n.fetchQ = append(n.fetchQ, cl.Uop(u))
-	}
-	for _, u := range c.rob {
-		n.rob = append(n.rob, cl.Uop(u))
-	}
-	for r := range c.lastWriter {
-		n.lastWriter[r] = cl.Uop(c.lastWriter[r])
-	}
-	n.pendingBranch = cl.Uop(c.pendingBranch)
-	n.blockedUop = cl.Uop(c.blockedUop)
-	return n
+	return &n
 }
 
 // SetVectorSink rebinds the unit's vector dispatch target. Machine
-// forking uses it to point a cloned unit at the cloned VCL (the sink
-// cannot be passed to Clone: the VCL is cloned after the units, whose
-// arenas own the uops in its queues).
+// forking uses it to point a cloned unit at the cloned VCL.
 func (u *Unit) SetVectorSink(v VectorSink) { u.vsink = v }

@@ -20,12 +20,12 @@ func TestCloneCoversUnit(t *testing.T) {
 		"pred":       "deep copy",
 		"vsink":      "re-wired by core.Machine.Fork via SetVectorSink",
 		"ctxs":       "deep copy via context.clone",
-		"window":     "rebuilt via Cloner.Uop, preserving aliasing with the ROBs",
+		"slab":       "rebased onto the caller's cloned slab",
+		"window":     "value copy of the handles",
 		"fetchRR":    "value copy",
 		"retireRR":   "value copy",
 		"fetchReady": "reset: per-cycle scratch, repopulated every fetch",
 		"regScratch": "reset: per-dispatch scratch",
-		"arena":      "reset: fresh slab, registered with the Cloner so cloned uops land here",
 		"OnRetire":   "re-wired by core.Machine.Fork (closure must capture the fork)",
 		"Err":        "value copy",
 		"dropNext":   "value copy (armed fault injection carries over)",
@@ -49,18 +49,18 @@ func TestCloneCoversContext(t *testing.T) {
 		"tid":    "value copy",
 		"active": "value copy",
 
-		"fetchQ": "rebuilt via Cloner.Uop onto a fresh base array",
-		"rob":    "rebuilt via Cloner.Uop onto a fresh base array",
+		"fetchQ": "handles copied onto a fresh base array",
+		"rob":    "handles copied onto a fresh base array",
 		"robCap": "value copy",
 
 		"fetchQArr": "fresh base array at the original capacity (queues rebased at offset 0)",
 		"robArr":    "fresh base array at the original capacity (queues rebased at offset 0)",
 
-		"lastWriter": "per-register map through Cloner.Uop",
+		"lastWriter": "value copy (array of handles)",
 
 		"haltFetched":   "value copy",
-		"pendingBranch": "mapped through Cloner.Uop (aliases a ROB entry)",
-		"blockedUop":    "mapped through Cloner.Uop (aliases a ROB entry)",
+		"pendingBranch": "value copy (handle)",
+		"blockedUop":    "value copy (handle)",
 		"stallUntil":    "value copy",
 		"curLine":       "value copy",
 	})

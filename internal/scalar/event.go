@@ -33,7 +33,7 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 		if len(c.rob) == 0 {
 			continue
 		}
-		h := c.rob[0]
+		h := u.slab.At(c.rob[0])
 		t := h.DoneCycle
 		if h.CommitCycle < t {
 			t = h.CommitCycle
@@ -52,7 +52,7 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 	// completes; entries already ready are waiting on width or ports and
 	// will issue on a following cycle.
 	for _, w := range u.window {
-		r, known := w.ReadyCycle()
+		r, known := u.slab.ReadyCycle(u.slab.At(w))
 		if !known {
 			continue
 		}
@@ -74,12 +74,12 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 		if len(c.rob) >= c.robCap || robTot >= u.cfg.ROBSize {
 			continue // unblocked by a retirement, covered above
 		}
-		head := c.fetchQ[0]
+		head := u.slab.At(c.fetchQ[0])
 		info := head.Dyn.Inst.Op.Info()
 		switch {
 		case info.Vector:
 			if u.vsink != nil {
-				if ok, _ := u.vsink.PeekEnqueue(head); !ok {
+				if ok, _ := u.vsink.PeekEnqueue(c.fetchQ[0]); !ok {
 					continue // unblocked by VCL dispatch, a VCL event
 				}
 			}
@@ -106,12 +106,12 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 			}
 			continue
 		}
-		if c.pendingBranch != nil {
-			ev = eventAt(ev, now, c.pendingBranch.DoneCycle)
+		if c.pendingBranch != pipe.None {
+			ev = eventAt(ev, now, u.slab.At(c.pendingBranch).DoneCycle)
 			continue
 		}
-		if c.blockedUop != nil {
-			ev = eventAt(ev, now, c.blockedUop.DoneCycle)
+		if c.blockedUop != pipe.None {
+			ev = eventAt(ev, now, u.slab.DoneCycle(c.blockedUop))
 			continue
 		}
 		return now + 1 // fetchable: the next tick fetches (or misses)
@@ -156,7 +156,7 @@ func (u *Unit) SkipIdle(from, to uint64) {
 	branchGated := uint64(0)
 	for _, c := range u.ctxs {
 		if c.active && !c.haltFetched && len(c.fetchQ) < 2*u.cfg.Width &&
-			c.stallUntil < from && c.pendingBranch != nil {
+			c.stallUntil < from && c.pendingBranch != pipe.None {
 			branchGated++
 		}
 	}
@@ -185,11 +185,11 @@ func (u *Unit) SkipIdle(from, to uint64) {
 				u.DispStallROB += cnt
 				continue
 			}
-			head := c.fetchQ[0]
+			head := u.slab.At(c.fetchQ[0])
 			info := head.Dyn.Inst.Op.Info()
 			if info.Vector {
 				if u.vsink != nil {
-					if _, counted := u.vsink.PeekEnqueue(head); counted {
+					if _, counted := u.vsink.PeekEnqueue(c.fetchQ[0]); counted {
 						u.vsink.CreditRejects(cnt)
 					}
 				}

@@ -20,8 +20,8 @@ func (u *Unit) CheckInvariants() error {
 	if len(u.window) > u.cfg.WindowSize {
 		return fmt.Errorf("su%d: window holds %d entries, capacity %d", u.ID, len(u.window), u.cfg.WindowSize)
 	}
-	for _, w := range u.window {
-		if w.Issued || w.Retired {
+	for _, h := range u.window {
+		if w := u.slab.At(h); w.Issued || w.Retired {
 			return fmt.Errorf("su%d: window entry t%d @%d (%s) is issued=%t retired=%t",
 				u.ID, w.Thread, w.Dyn.PC, w.Dyn.Inst, w.Issued, w.Retired)
 		}
@@ -69,18 +69,18 @@ func (u *Unit) DebugDump(now uint64) string {
 		if c.haltFetched {
 			state += " halt-fetched"
 		}
-		if c.pendingBranch != nil {
-			state += fmt.Sprintf(" branch-stalled@%d", c.pendingBranch.Dyn.PC)
+		if b := u.slab.Get(c.pendingBranch); b != nil {
+			state += fmt.Sprintf(" branch-stalled@%d", b.Dyn.PC)
 		}
-		if c.blockedUop != nil {
-			state += fmt.Sprintf(" blocked-on-%s", c.blockedUop.Dyn.Inst.Op)
+		if b := u.slab.Get(c.blockedUop); b != nil {
+			state += fmt.Sprintf(" blocked-on-%s", b.Dyn.Inst.Op)
 		}
 		if c.stallUntil > now {
 			state += fmt.Sprintf(" stalled-until-%d", c.stallUntil)
 		}
 		head := "empty"
 		if len(c.rob) > 0 {
-			h := c.rob[0]
+			h := u.slab.At(c.rob[0])
 			head = fmt.Sprintf("t%d @%d %s (issued=%t done@%d)",
 				h.Thread, h.Dyn.PC, h.Dyn.Inst, h.Issued, h.DoneCycle)
 		}

@@ -19,11 +19,11 @@ func CodeAddr(pc int) uint64 { return CodeBase + uint64(pc)*isa.WordSize }
 
 // VectorSink accepts vector uops at dispatch (implemented by vcl.VCL).
 type VectorSink interface {
-	Enqueue(*pipe.Uop) bool
+	Enqueue(pipe.Handle) bool
 	// PeekEnqueue reports whether Enqueue would accept the uop (ok)
 	// and, when it would not, whether the refusal would be counted as a
 	// VIQ rejection (counted). It must not change any state.
-	PeekEnqueue(*pipe.Uop) (ok, counted bool)
+	PeekEnqueue(pipe.Handle) (ok, counted bool)
 	// CreditRejects records n VIQ rejections without enqueue attempts —
 	// the event-driven scheduler's bulk credit for skipped cycles on
 	// which dispatch would have retried a blocked vector head.
@@ -72,22 +72,27 @@ type context struct {
 	tid    int // software thread id, -1 when the context is unused
 	active bool
 
-	fetchQ []*pipe.Uop
-	rob    []*pipe.Uop
+	fetchQ []pipe.Handle
+	rob    []pipe.Handle
 	robCap int
 
 	// Base arrays for fetchQ and rob: both queues pop by reslicing from
 	// the front, so they are rewound onto these whenever they empty to
 	// keep append from allocating fresh backing stores all run long.
-	fetchQArr []*pipe.Uop
-	robArr    []*pipe.Uop
+	fetchQArr []pipe.Handle
+	robArr    []pipe.Handle
 
-	lastWriter [isa.NumRegs]*pipe.Uop
+	// lastWriter may hold stale handles: a freed writer retired with
+	// its result in the register file and gates nothing.
+	lastWriter [isa.NumRegs]pipe.Handle
 
-	haltFetched   bool
-	pendingBranch *pipe.Uop // mispredicted branch gating fetch
-	blockedUop    *pipe.Uop // BAR or VLTCFG gating fetch
-	stallUntil    uint64    // icache miss / redirect penalty
+	haltFetched bool
+	// pendingBranch is a mispredicted branch gating fetch. Fetch needs
+	// its exact DoneCycle for the redirect, so the branch keeps its slot
+	// past ROB retirement until fetch has read it.
+	pendingBranch pipe.Handle
+	blockedUop    pipe.Handle // BAR or VLTCFG gating fetch
+	stallUntil    uint64      // icache miss / redirect penalty
 	curLine       uint64
 }
 
@@ -108,8 +113,9 @@ type Unit struct {
 	pred   *pipe.Bimodal
 	vsink  VectorSink
 
+	slab   *pipe.Slab // the machine's in-flight uops
 	ctxs   []*context
-	window []*pipe.Uop // unissued scalar uops, age order across contexts
+	window []pipe.Handle // unissued scalar uops, age order across contexts
 
 	fetchRR  int
 	retireRR int
@@ -117,7 +123,6 @@ type Unit struct {
 	// Hot-path scratch buffers, reused across cycles.
 	fetchReady []*context // fetch's per-cycle fetchable-context list
 	regScratch []isa.Reg  // AppendSrcs/AppendDests buffer for dispatch
-	arena      pipe.Arena // slab allocator for this unit's uops
 
 	// OnRetire, if set, is called for every retired uop (the machine
 	// model uses it for region tracking and completion accounting).
@@ -142,13 +147,15 @@ type Unit struct {
 	DispStallVIQ     uint64
 }
 
-// New builds a scalar unit over the shared L2. vsink may be nil for a
-// CMP/CMT configuration without a vector unit.
-func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2, vsink VectorSink) *Unit {
+// New builds a scalar unit over the shared L2, allocating its uops in
+// the machine's slab. vsink may be nil for a CMP/CMT configuration
+// without a vector unit.
+func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2, vsink VectorSink, slab *pipe.Slab) *Unit {
 	u := &Unit{
 		ID:     id,
 		cfg:    cfg,
 		vmach:  machine,
+		slab:   slab,
 		icache: mem.NewL1(cfg.L1I, l2),
 		dcache: mem.NewL1(cfg.L1D, l2),
 		pred:   pipe.NewBimodal(cfg.PredictorEntries),
@@ -164,13 +171,13 @@ func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2, vsink VectorSink) *Unit
 	for s := 0; s < cfg.Contexts; s++ {
 		c := &context{slot: s, tid: -1, robCap: robCap, curLine: ^uint64(0)}
 		// fetchQ is capped at 2*Width before a fetch of up to Width more.
-		c.fetchQArr = make([]*pipe.Uop, 0, 3*cfg.Width)
-		c.robArr = make([]*pipe.Uop, 0, robCap)
+		c.fetchQArr = make([]pipe.Handle, 0, 3*cfg.Width)
+		c.robArr = make([]pipe.Handle, 0, robCap)
 		c.fetchQ = c.fetchQArr
 		c.rob = c.robArr
 		u.ctxs = append(u.ctxs, c)
 	}
-	u.window = make([]*pipe.Uop, 0, cfg.WindowSize)
+	u.window = make([]pipe.Handle, 0, cfg.WindowSize)
 	u.fetchReady = make([]*context, 0, cfg.Contexts)
 	return u
 }
@@ -240,7 +247,7 @@ func (u *Unit) BarrierWaiting(slot int) *pipe.Uop {
 	if len(c.rob) == 0 {
 		return nil
 	}
-	h := c.rob[0]
+	h := u.slab.At(c.rob[0])
 	if h.Dyn.IsBarrier && h.DoneCycle == pipe.NeverDone {
 		return h
 	}
@@ -254,7 +261,7 @@ func (u *Unit) VltCfgWaiting(slot int) *pipe.Uop {
 	if len(c.rob) == 0 {
 		return nil
 	}
-	h := c.rob[0]
+	h := u.slab.At(c.rob[0])
 	if h.Dyn.VltCfg != 0 && h.DoneCycle == pipe.NeverDone {
 		return h
 	}
@@ -280,38 +287,24 @@ func (u *Unit) retire(now uint64) {
 	for i := 0; i < n && budget > 0; i++ {
 		c := u.ctxs[(u.retireRR+i)%n]
 		for budget > 0 && len(c.rob) > 0 {
-			h := c.rob[0]
+			hd := c.rob[0]
+			h := u.slab.At(hd)
 			if !h.RetireBy(now) {
 				break
 			}
 			h.Retired = true
-			c.rob[0] = nil
 			c.rob = c.rob[1:]
 			u.Retired++
 			budget--
 			if u.OnRetire != nil {
 				u.OnRetire(h)
 			}
-			// Unpin the uop from last-writer tracking once its result is
-			// in the register file (producer capture skips retired+done
-			// writers, so such entries only pin dead uops). Early-committed
-			// vector uops with in-flight scalar results stay tracked.
-			if h.DoneBy(now) {
-				u.regScratch = h.Dyn.Inst.AppendDests(u.regScratch[:0])
-				for _, r := range u.regScratch {
-					if !r.IsVec() && c.lastWriter[r] == h {
-						c.lastWriter[r] = nil
-						h.Release()
-					}
-				}
-			}
-			if h.CommitCycle == pipe.NeverDone {
-				// A plain scalar uop (vector uops carry a CommitCycle
-				// from early commit, and the VCL still reads their
-				// dependence edges for chaining): nothing reads this
-				// uop's edges again, so break the producer chain. This may
-				// recycle h, so it must be the last use of it.
-				h.ReleaseProducers()
+			// The ROB is a plain scalar uop's last owner. An
+			// early-committed vector uop (it carries a CommitCycle) is
+			// freed by whichever of the ROB and the vector unit finishes
+			// with it second; a branch still gating fetch, by fetch.
+			if (h.CommitCycle == pipe.NeverDone || h.VecDone) && hd != c.pendingBranch {
+				u.slab.Free(hd)
 			}
 		}
 		if len(c.rob) == 0 {
@@ -326,20 +319,21 @@ func (u *Unit) retire(now uint64) {
 func (u *Unit) issue(now uint64) {
 	issued, aluUsed, memUsed := 0, 0, 0
 	kept := u.window[:0]
-	for idx, w := range u.window {
+	for idx, wh := range u.window {
 		if issued >= u.cfg.Width {
 			kept = append(kept, u.window[idx:]...)
 			break
 		}
-		if !w.ReadyBy(now) {
-			kept = append(kept, w)
+		w := u.slab.At(wh)
+		if !u.slab.ReadyBy(w, now) {
+			kept = append(kept, wh)
 			continue
 		}
 		info := w.Dyn.Inst.Op.Info()
 		switch info.Class {
 		case isa.ClassLoad, isa.ClassStore:
 			if memUsed >= u.cfg.NumMemPorts {
-				kept = append(kept, w)
+				kept = append(kept, wh)
 				continue
 			}
 			memUsed++
@@ -353,7 +347,7 @@ func (u *Unit) issue(now uint64) {
 			w.DoneCycle = done
 		default: // IntALU, IntMul, FP, Ctl(SETVL)
 			if aluUsed >= u.cfg.NumALU {
-				kept = append(kept, w)
+				kept = append(kept, wh)
 				continue
 			}
 			aluUsed++
@@ -366,9 +360,6 @@ func (u *Unit) issue(now uint64) {
 		issued++
 		u.IssuedCount++
 	}
-	for i := len(kept); i < len(u.window); i++ {
-		u.window[i] = nil
-	}
 	u.window = kept
 }
 
@@ -380,7 +371,8 @@ func (u *Unit) dispatch(now uint64) {
 	for i := 0; i < n && budget > 0; i++ {
 		c := u.ctxs[(u.retireRR+i)%n]
 		for budget > 0 && len(c.fetchQ) > 0 {
-			uop := c.fetchQ[0]
+			uh := c.fetchQ[0]
+			uop := u.slab.At(uh)
 			if len(c.rob) >= c.robCap || u.robTotal() >= u.cfg.ROBSize {
 				u.DispStallROB++
 				break
@@ -394,12 +386,12 @@ func (u *Unit) dispatch(now uint64) {
 					return
 				}
 				u.collectScalarProducers(c, uop, now)
-				if !u.vsink.Enqueue(uop) {
+				if !u.vsink.Enqueue(uh) {
 					u.DispStallVIQ++
 					budget = 0
 					break
 				}
-				u.recordScalarDests(c, uop)
+				u.recordScalarDests(c, uh)
 			case info.Class == isa.ClassCtl && uop.Dyn.Inst.Op != isa.OpSetVL:
 				// NOP/MARK/HALT complete immediately; BAR and VLTCFG
 				// wait for the machine-level controller.
@@ -416,19 +408,18 @@ func (u *Unit) dispatch(now uint64) {
 					break
 				}
 				u.collectProducers(c, uop, now)
-				u.recordScalarDests(c, uop)
-				u.window = append(u.window, uop)
+				u.recordScalarDests(c, uh)
+				u.window = append(u.window, uh)
 			}
 			if budget == 0 {
 				break
 			}
 			uop.DispatchCycle = now
-			c.fetchQ[0] = nil
 			c.fetchQ = c.fetchQ[1:]
 			if len(c.fetchQ) == 0 {
 				c.fetchQ = c.fetchQArr[:0]
 			}
-			c.rob = append(c.rob, uop)
+			c.rob = append(c.rob, uh)
 			u.Dispatched++
 			budget--
 		}
@@ -436,52 +427,44 @@ func (u *Unit) dispatch(now uint64) {
 }
 
 // collectProducers records the producers of a scalar uop. Writers both
-// retired and done are skipped: their result is in the register file and
-// imposes no wait. (Retirement alone is not enough — a vector uop with a
-// scalar destination retires early on its CommitCycle while its result
-// is still in flight.)
+// retired and done (freed ones included) are skipped: their result is in
+// the register file and imposes no wait. (Retirement alone is not
+// enough — a vector uop with a scalar destination retires early on its
+// CommitCycle while its result is still in flight.)
 func (u *Unit) collectProducers(c *context, uop *pipe.Uop, now uint64) {
 	u.regScratch = uop.Dyn.Inst.AppendSrcs(u.regScratch[:0])
 	for _, r := range u.regScratch {
-		if w := c.lastWriter[r]; w != nil && !(w.Retired && w.DoneBy(now)) {
-			w.Retain()
-			uop.Producers = append(uop.Producers, w)
+		if w := u.slab.Get(c.lastWriter[r]); w != nil && !(w.Retired && w.DoneBy(now)) {
+			uop.Producers.Add(c.lastWriter[r])
 		}
 	}
 }
 
 // collectScalarProducers records the scalar-register producers of a
-// vector uop for the VCL's vector-scalar dependence check.
+// vector uop for the VCL's vector-scalar dependence check. A retry after
+// a full VIQ collects afresh: the uop is its context's oldest
+// undispatched one, so its writers are unchanged, and any that finished
+// meanwhile gate nothing either way.
 func (u *Unit) collectScalarProducers(c *context, uop *pipe.Uop, now uint64) {
-	if uop.ScalarProducers != nil {
-		return // already collected on a previous (VIQ-full) attempt
-	}
+	uop.ScalarProducers.Reset()
 	u.regScratch = uop.Dyn.Inst.AppendSrcs(u.regScratch[:0])
 	for _, r := range u.regScratch {
 		if r.IsVec() {
 			continue
 		}
-		if w := c.lastWriter[r]; w != nil && !(w.Retired && w.DoneBy(now)) {
-			w.Retain()
-			uop.ScalarProducers = append(uop.ScalarProducers, w)
+		if w := u.slab.Get(c.lastWriter[r]); w != nil && !(w.Retired && w.DoneBy(now)) {
+			uop.ScalarProducers.Add(c.lastWriter[r])
 		}
-	}
-	if uop.ScalarProducers == nil {
-		uop.ScalarProducers = []*pipe.Uop{}
 	}
 }
 
 // recordScalarDests updates last-writer tracking for the uop's scalar
 // destinations (vector destinations are renamed inside the VCL).
-func (u *Unit) recordScalarDests(c *context, uop *pipe.Uop) {
-	u.regScratch = uop.Dyn.Inst.AppendDests(u.regScratch[:0])
+func (u *Unit) recordScalarDests(c *context, h pipe.Handle) {
+	u.regScratch = u.slab.At(h).Dyn.Inst.AppendDests(u.regScratch[:0])
 	for _, r := range u.regScratch {
 		if !r.IsVec() {
-			if old := c.lastWriter[r]; old != nil {
-				old.Release()
-			}
-			uop.Retain()
-			c.lastWriter[r] = uop
+			c.lastWriter[r] = h
 		}
 	}
 }
@@ -534,25 +517,27 @@ func (u *Unit) fetchable(c *context, now uint64) bool {
 	if c.stallUntil > now {
 		return false
 	}
-	if c.pendingBranch != nil {
-		if !c.pendingBranch.DoneBy(now) {
+	if c.pendingBranch != pipe.None {
+		b := u.slab.At(c.pendingBranch)
+		if !b.DoneBy(now) {
 			u.FetchStallBranch++
 			return false
 		}
-		c.stallUntil = c.pendingBranch.DoneCycle + uint64(u.cfg.MispredictPenalty)
-		c.pendingBranch.Release()
-		c.pendingBranch = nil
+		c.stallUntil = b.DoneCycle + uint64(u.cfg.MispredictPenalty)
+		if b.Retired {
+			u.slab.Free(c.pendingBranch)
+		}
+		c.pendingBranch = pipe.None
 		if c.stallUntil > now {
 			u.FetchStallBranch++
 			return false
 		}
 	}
-	if c.blockedUop != nil {
-		if !c.blockedUop.DoneBy(now) {
+	if c.blockedUop != pipe.None {
+		if u.slab.DoneCycle(c.blockedUop) > now {
 			return false
 		}
-		c.blockedUop.Release()
-		c.blockedUop = nil
+		c.blockedUop = pipe.None
 	}
 	return true
 }
@@ -572,13 +557,15 @@ func (u *Unit) fetchFrom(c *context, now uint64, width int) int {
 			}
 			c.curLine = line
 		}
-		dyn, err := u.vmach.StepReusing(c.tid, u.arena.RecycleDyn())
+		h := u.slab.New(c.tid, now)
+		uop := u.slab.At(h)
+		dyn, err := u.vmach.StepReusing(c.tid, &uop.Dyn)
 		if err != nil {
+			u.slab.Free(h)
 			u.Err = err
 			return i
 		}
-		uop := u.arena.NewUop(dyn, c.tid, now)
-		c.fetchQ = append(c.fetchQ, uop)
+		c.fetchQ = append(c.fetchQ, h)
 		u.Fetched++
 
 		if dyn.Branch {
@@ -589,8 +576,7 @@ func (u *Unit) fetchFrom(c *context, now uint64, width int) int {
 			}
 			if !correct {
 				uop.Mispredicted = true
-				uop.Retain()
-				c.pendingBranch = uop
+				c.pendingBranch = h
 				return i + 1
 			}
 			if dyn.Taken {
@@ -599,8 +585,7 @@ func (u *Unit) fetchFrom(c *context, now uint64, width int) int {
 			continue
 		}
 		if dyn.IsBarrier || dyn.VltCfg != 0 {
-			uop.Retain()
-			c.blockedUop = uop
+			c.blockedUop = h
 			return i + 1
 		}
 		if dyn.IsHalt {

@@ -1,70 +1,40 @@
 package vcl
 
 import (
+	"vlt/internal/isa"
 	"vlt/internal/mem"
 	"vlt/internal/pipe"
 )
 
 // This file implements deep copying of the vector control logic for
-// machine forking (core.Machine.Fork). The VCL owns no uop arena — the
-// uops in its queues were allocated by the scalar units that dispatched
-// them — so all uop pointers go through the shared pipe.Cloner, which
-// must already have every scalar unit's arena registered (clone the
-// scalar units first).
+// machine forking (core.Machine.Fork). The VCL's queues and scoreboards
+// hold handles into the machine's uop slab, which name the same
+// instructions in the cloned slab, so they copy by value.
 
-// Clone returns a deep copy of the VCL backed by the given (cloned) L2.
-func (v *VCL) Clone(cl *pipe.Cloner, l2 *mem.L2) *VCL {
-	n := &VCL{
-		cfg:        v.cfg,
-		l2:         l2,
-		totalLanes: v.totalLanes,
-		rr:         v.rr,
-		Util:       v.Util,
-		VecIssued:  v.VecIssued,
-		VecElemOps: v.VecElemOps,
-		VIQRejects: v.VIQRejects,
-		Enqueued:   v.Enqueued,
-		Completed:  v.Completed,
-	}
+// Clone returns a deep copy of the VCL backed by the given (cloned) L2
+// and uop slab.
+func (v *VCL) Clone(l2 *mem.L2, slab *pipe.Slab) *VCL {
+	n := *v
+	n.l2 = l2
+	n.slab = slab
 	n.parts = make([]*partition, len(v.parts))
 	for i, p := range v.parts {
-		n.parts[i] = p.clone(cl)
+		n.parts[i] = p.clone()
 	}
-	return n
+	return &n
 }
 
 // clone returns a deep copy of one partition. The VIQ is rebased onto a
 // fresh full-capacity base array (the parent's may be a mid-array
 // reslice); content and length — everything the timing model observes —
 // are identical.
-func (p *partition) clone(cl *pipe.Cloner) *partition {
-	n := &partition{
-		id:        p.id,
-		thread:    p.thread,
-		lanes:     p.lanes,
-		viqCap:    p.viqCap,
-		winCap:    p.winCap,
-		renames:   p.renames,
-		renameCap: p.renameCap,
-		noChain:   p.noChain,
-		vfuFree:   p.vfuFree,
-		vfuCur:    p.vfuCur,
-		memFree:   p.memFree,
-	}
-	n.viqArr = make([]*pipe.Uop, 0, cap(p.viqArr))
+func (p *partition) clone() *partition {
+	n := *p
+	n.viqArr = append(make([]pipe.Handle, 0, cap(p.viqArr)), p.viq...)
 	n.viq = n.viqArr
-	for _, u := range p.viq {
-		n.viq = append(n.viq, cl.Uop(u))
-	}
-	n.win = make([]*pipe.Uop, 0, cap(p.win))
-	for _, u := range p.win {
-		n.win = append(n.win, cl.Uop(u))
-	}
-	for r := range p.lastWriter {
-		n.lastWriter[r] = cl.Uop(p.lastWriter[r])
-	}
-	n.srcs = append(n.srcs, p.srcs...)[:0]
-	return n
+	n.win = append(make([]pipe.Handle, 0, cap(p.win)), p.win...)
+	n.srcs = make([]isa.Reg, 0, cap(p.srcs))
+	return &n
 }
 
 // ValidPartitionCount reports whether the VCL could be reconfigured

@@ -14,6 +14,7 @@ func TestCloneCoversVCL(t *testing.T) {
 	clonecheck.Check(t, &VCL{}, map[string]string{
 		"cfg":        "value copy",
 		"l2":         "rebased onto the caller's cloned L2",
+		"slab":       "rebased onto the caller's cloned slab",
 		"totalLanes": "value copy",
 		"parts":      "deep copy via partition.clone",
 		"rr":         "value copy",
@@ -37,12 +38,12 @@ func TestCloneCoversPartition(t *testing.T) {
 
 		"viqCap": "value copy",
 		"winCap": "value copy",
-		"viq":    "rebuilt via Cloner.Uop onto a fresh base array",
-		"win":    "rebuilt via Cloner.Uop (window entries alias VIQ history)",
+		"viq":    "handles copied onto a fresh base array",
+		"win":    "handles copied onto a fresh array",
 		"viqArr": "fresh base array at the original capacity (viq rebased at offset 0)",
 		"srcs":   "reset: per-dispatch scratch",
 
-		"lastWriter": "per-register map through Cloner.Uop",
+		"lastWriter": "value copy (array of handles)",
 		"renames":    "value copy",
 		"renameCap":  "value copy",
 		"noChain":    "value copy",

@@ -23,7 +23,8 @@ import (
 func (v *VCL) NextEvent(now uint64) uint64 {
 	ev := uint64(pipe.NeverDone)
 	for _, p := range v.parts {
-		for _, u := range p.win {
+		for _, h := range p.win {
+			u := v.slab.At(h)
 			if u.Issued {
 				if u.DoneCycle <= now {
 					return now + 1 // retirement already pending
@@ -33,7 +34,7 @@ func (v *VCL) NextEvent(now uint64) uint64 {
 				}
 				continue
 			}
-			r, known := p.readyCycle(u)
+			r, known := p.readyCycle(v.slab, u)
 			if !known {
 				continue // gated on a producer another component completes
 			}
@@ -45,7 +46,7 @@ func (v *VCL) NextEvent(now uint64) uint64 {
 			}
 		}
 		if len(p.viq) > 0 && len(p.win) < p.winCap {
-			if !hasVecDest(p.viq[0]) || p.renames < p.renameCap {
+			if !hasVecDest(v.slab.At(p.viq[0])) || p.renames < p.renameCap {
 				return now + 1 // dispatch proceeds next cycle
 			}
 			// Rename-starved: unblocked only by a window retirement,
@@ -60,21 +61,19 @@ func (v *VCL) NextEvent(now uint64) uint64 {
 // chain (or completion) cycles, and its functional unit's or a memory
 // port's next-free cycle. known is false while any producer's completion
 // is still unknown — readiness is then gated on another event entirely.
-func (p *partition) readyCycle(u *pipe.Uop) (cycle uint64, known bool) {
+func (p *partition) readyCycle(slab *pipe.Slab, u *pipe.Uop) (cycle uint64, known bool) {
 	var r uint64
-	for _, sp := range u.ScalarProducers {
-		if sp.DoneCycle == pipe.NeverDone {
+	for _, sp := range u.ScalarProducers.List() {
+		d := slab.DoneCycle(sp)
+		if d == pipe.NeverDone {
 			return 0, false
 		}
-		if sp.DoneCycle > r {
-			r = sp.DoneCycle
+		if d > r {
+			r = d
 		}
 	}
-	for _, vp := range u.Producers {
-		ready := vp.ChainCycle
-		if p.noChain {
-			ready = vp.DoneCycle
-		}
+	for _, vp := range u.Producers.List() {
+		ready := p.operandCycle(slab, vp)
 		if ready == pipe.NeverDone {
 			return 0, false
 		}
@@ -114,6 +113,7 @@ func (v *VCL) SkipIdle(from, to uint64) {
 		v.rr += int(to - from) // issue() advances the round-robin per cycle
 	}
 	for _, p := range v.parts {
+		pending := p.pendingFUs(v.slab)
 		for f := 0; f < NumVFUs; f++ {
 			busy := from
 			for busy < to && busy < p.vfuFree[f] {
@@ -136,7 +136,7 @@ func (v *VCL) SkipIdle(from, to uint64) {
 				continue
 			}
 			idle := to - busy
-			if p.pendingFor(f) {
+			if pending&(1<<f) != 0 {
 				v.Util.Stalled += idle * uint64(p.lanes)
 			} else {
 				v.Util.AllIdle += idle * uint64(p.lanes)
@@ -149,8 +149,8 @@ func (v *VCL) SkipIdle(from, to uint64) {
 // would not, whether the refusal would count as a VIQ rejection: Enqueue
 // refuses silently when u's thread owns no partition, and counts a
 // reject only when the partition's VIQ is full.
-func (v *VCL) PeekEnqueue(u *pipe.Uop) (ok, counted bool) {
-	p := v.partitionOf(u.Thread)
+func (v *VCL) PeekEnqueue(u pipe.Handle) (ok, counted bool) {
+	p := v.partitionOf(v.slab.At(u).Thread)
 	if p == nil {
 		return false, false
 	}

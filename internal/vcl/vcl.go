@@ -61,12 +61,12 @@ type partition struct {
 
 	viqCap int
 	winCap int
-	viq    []*pipe.Uop
-	win    []*pipe.Uop
-	viqArr []*pipe.Uop // viq's base array, rewound when the queue empties
-	srcs   []isa.Reg   // dispatch scratch for AppendSrcs
+	viq    []pipe.Handle
+	win    []pipe.Handle
+	viqArr []pipe.Handle // viq's base array, rewound when the queue empties
+	srcs   []isa.Reg     // dispatch scratch for AppendSrcs
 
-	lastWriter [isa.NumVecRegs]*pipe.Uop
+	lastWriter [isa.NumVecRegs]pipe.Handle
 	renames    int // vector destinations in flight
 	renameCap  int
 	noChain    bool
@@ -80,6 +80,7 @@ type partition struct {
 type VCL struct {
 	cfg        Config
 	l2         *mem.L2
+	slab       *pipe.Slab // the machine's in-flight uops
 	totalLanes int
 	parts      []*partition
 	rr         int
@@ -100,8 +101,9 @@ type VCL struct {
 }
 
 // New builds a VCL controlling totalLanes lanes, initially configured as a
-// single partition owned by software thread 0.
-func New(cfg Config, l2 *mem.L2, totalLanes int) *VCL {
+// single partition owned by software thread 0. Its queues name uops in
+// the machine's slab.
+func New(cfg Config, l2 *mem.L2, totalLanes int, slab *pipe.Slab) *VCL {
 	def := DefaultConfig()
 	if cfg.IssueWidth == 0 {
 		cfg.IssueWidth = def.IssueWidth
@@ -115,7 +117,7 @@ func New(cfg Config, l2 *mem.L2, totalLanes int) *VCL {
 	if cfg.PhysRegs == 0 {
 		cfg.PhysRegs = def.PhysRegs
 	}
-	v := &VCL{cfg: cfg, l2: l2, totalLanes: totalLanes}
+	v := &VCL{cfg: cfg, l2: l2, slab: slab, totalLanes: totalLanes}
 	if err := v.Partition([]int{0}); err != nil {
 		panic(err)
 	}
@@ -147,6 +149,9 @@ func (v *VCL) RegisterMetrics(r *stats.Registry) {
 	r.CounterFn("partitions", func() uint64 { return uint64(len(v.parts)) })
 	r.CounterFn("in_flight", func() uint64 { return uint64(v.InFlight()) })
 }
+
+// Config returns the VCL's configuration, defaults filled in.
+func (v *VCL) Config() Config { return v.cfg }
 
 // Lanes returns the total lane count.
 func (v *VCL) Lanes() int { return v.totalLanes }
@@ -191,8 +196,8 @@ func (v *VCL) Partition(threads []int) error {
 			winCap:    winCap,
 			renameCap: v.cfg.PhysRegs - isa.NumVecRegs,
 			noChain:   v.cfg.DisableChaining,
-			viqArr:    make([]*pipe.Uop, 0, viqCap),
-			win:       make([]*pipe.Uop, 0, winCap),
+			viqArr:    make([]pipe.Handle, 0, viqCap),
+			win:       make([]pipe.Handle, 0, winCap),
 		}
 		p.viq = p.viqArr
 		v.parts[i] = p
@@ -212,8 +217,8 @@ func (v *VCL) partitionOf(tid int) *partition {
 
 // Enqueue offers a vector uop from a scalar unit's dispatch stage,
 // reporting whether the VIQ accepted it.
-func (v *VCL) Enqueue(u *pipe.Uop) bool {
-	p := v.partitionOf(u.Thread)
+func (v *VCL) Enqueue(u pipe.Handle) bool {
+	p := v.partitionOf(v.slab.At(u).Thread)
 	if p == nil {
 		return false
 	}
@@ -272,40 +277,40 @@ func (v *VCL) Drained(now uint64) bool {
 // for this cycle.
 func (v *VCL) Tick(now uint64) {
 	for _, p := range v.parts {
-		v.Completed += uint64(p.retireDone(now))
-		p.dispatch(now, v.cfg.IssueWidth)
+		v.Completed += uint64(p.retireDone(v.slab, now))
+		p.dispatch(v.slab, now, v.cfg.IssueWidth)
 	}
 	v.issue(now)
 	v.account(now)
 }
 
 // retireDone removes completed instructions from the window, releasing
-// their implicit renames, and returns how many it retired.
-func (p *partition) retireDone(now uint64) int {
+// their implicit renames, and returns how many it retired. The window is
+// one of a vector uop's two owners (the scalar ROB is the other): the
+// slot is freed here if the ROB has already retired the uop, otherwise
+// marked for the ROB to free.
+func (p *partition) retireDone(slab *pipe.Slab, now uint64) int {
 	retired := 0
 	dst := p.win[:0]
-	for _, u := range p.win {
-		if u.Issued && u.DoneBy(now) {
-			if hasVecDest(u) {
-				p.renames--
-				// Unpin the uop from chain tracking: it is done, so any
-				// later consumer chains from the register file anyway.
-				if rd := u.Dyn.Inst.Rd.Index(); p.lastWriter[rd] == u {
-					p.lastWriter[rd] = nil
-					u.Release()
-				}
-			}
-			// No stage reads this uop's edges again: break the producer
-			// chain. This may recycle u, so it must be the last use of it.
-			u.ReleaseProducers()
-			retired++
+	for _, h := range p.win {
+		u := slab.At(h)
+		if !u.Issued || !u.DoneBy(now) {
+			dst = append(dst, h)
 			continue
 		}
-		dst = append(dst, u)
-	}
-	// Zero the tail so retired uops are collectable.
-	for i := len(dst); i < len(p.win); i++ {
-		p.win[i] = nil
+		if hasVecDest(u) {
+			p.renames--
+			// Done: later consumers read the register file.
+			if rd := u.Dyn.Inst.Rd.Index(); p.lastWriter[rd] == h {
+				p.lastWriter[rd] = pipe.None
+			}
+		}
+		if u.Retired {
+			slab.Free(h)
+		} else {
+			u.VecDone = true
+		}
+		retired++
 	}
 	p.win = dst
 	return retired
@@ -317,17 +322,17 @@ func hasVecDest(u *pipe.Uop) bool {
 }
 
 // dispatch renames up to width instructions from the VIQ into the window.
-func (p *partition) dispatch(now uint64, width int) {
+func (p *partition) dispatch(slab *pipe.Slab, now uint64, width int) {
 	for n := 0; n < width && len(p.viq) > 0; n++ {
 		if len(p.win) >= p.winCap {
 			return
 		}
-		u := p.viq[0]
+		h := p.viq[0]
+		u := slab.At(h)
 		needsRename := hasVecDest(u)
 		if needsRename && p.renames >= p.renameCap {
 			return // out of physical registers
 		}
-		p.viq[0] = nil // drop the dequeued entry's reference
 		p.viq = p.viq[1:]
 		if len(p.viq) == 0 {
 			p.viq = p.viqArr[:0] // rewind onto the base array
@@ -339,43 +344,42 @@ func (p *partition) dispatch(now uint64, width int) {
 		p.srcs = u.Dyn.Inst.AppendSrcs(p.srcs[:0])
 		for _, r := range p.srcs {
 			if r.IsVec() {
-				if w := p.lastWriter[r.Index()]; w != nil {
-					w.Retain()
-					u.Producers = append(u.Producers, w)
+				if w := p.lastWriter[r.Index()]; w != pipe.None {
+					u.Producers.Add(w)
 				}
 			}
 		}
 		if needsRename {
-			rd := u.Dyn.Inst.Rd.Index()
-			if old := p.lastWriter[rd]; old != nil {
-				old.Release()
-			}
-			u.Retain()
-			p.lastWriter[rd] = u
+			p.lastWriter[u.Dyn.Inst.Rd.Index()] = h
 		}
 		u.DispatchCycle = now
-		p.win = append(p.win, u)
+		p.win = append(p.win, h)
 	}
 }
 
-// readyAt reports whether u can begin execution at now: scalar operands
-// complete, vector operands at least chainable, and its functional unit
-// free.
-func (p *partition) readyAt(u *pipe.Uop, now uint64) bool {
-	for _, sp := range u.ScalarProducers {
-		if !sp.DoneBy(now) {
+// readyAt reports whether u can begin execution at now: its functional
+// unit free (checked first: it needs no producer lookups), scalar
+// operands complete, and vector operands at least chainable.
+func (p *partition) readyAt(slab *pipe.Slab, u *pipe.Uop, now uint64) bool {
+	if !p.unitFree(u, now) {
+		return false
+	}
+	for _, sp := range u.ScalarProducers.List() {
+		if slab.DoneCycle(sp) > now {
 			return false
 		}
 	}
-	for _, vp := range u.Producers {
-		ready := vp.ChainCycle
-		if p.noChain {
-			ready = vp.DoneCycle
-		}
-		if ready > now {
+	for _, vp := range u.Producers.List() {
+		if p.operandCycle(slab, vp) > now {
 			return false
 		}
 	}
+	return true
+}
+
+// unitFree reports whether u's arithmetic datapath, or for a memory
+// instruction any memory port, is free at now.
+func (p *partition) unitFree(u *pipe.Uop, now uint64) bool {
 	info := u.Dyn.Inst.Op.Info()
 	switch info.Class {
 	case isa.ClassVecALU:
@@ -386,14 +390,22 @@ func (p *partition) readyAt(u *pipe.Uop, now uint64) bool {
 				return true
 			}
 		}
-		return false
 	}
 	return false
 }
 
-func (p *partition) nextIssuable(now uint64) *pipe.Uop {
-	for _, u := range p.win {
-		if !u.Issued && p.readyAt(u, now) {
+// operandCycle returns when vector producer h's result can feed a
+// consumer: its chain point, or its completion with chaining disabled.
+func (p *partition) operandCycle(slab *pipe.Slab, h pipe.Handle) uint64 {
+	if p.noChain {
+		return slab.DoneCycle(h)
+	}
+	return slab.ChainCycle(h)
+}
+
+func (p *partition) nextIssuable(slab *pipe.Slab, now uint64) *pipe.Uop {
+	for _, h := range p.win {
+		if u := slab.At(h); !u.Issued && p.readyAt(slab, u, now) {
 			return u
 		}
 	}
@@ -411,7 +423,7 @@ func (v *VCL) issue(now uint64) {
 	if v.cfg.ReplicatedIssue {
 		for _, p := range v.parts {
 			for k := 0; k < width; k++ {
-				u := p.nextIssuable(now)
+				u := p.nextIssuable(v.slab, now)
 				if u == nil {
 					break
 				}
@@ -424,7 +436,7 @@ func (v *VCL) issue(now uint64) {
 	for attempt := 0; attempt < n && issued < width; attempt++ {
 		p := v.parts[(v.rr+attempt)%n]
 		for issued < width {
-			u := p.nextIssuable(now)
+			u := p.nextIssuable(v.slab, now)
 			if u == nil {
 				break
 			}
@@ -493,6 +505,7 @@ func (v *VCL) issueUop(p *partition, u *pipe.Uop, now uint64) {
 // lane (3 per lane), in the paper's Figure-4 categories.
 func (v *VCL) account(now uint64) {
 	for _, p := range v.parts {
+		pending := -1 // pendingFUs mask, computed on first need
 		for f := 0; f < NumVFUs; f++ {
 			if now < p.vfuFree[f] {
 				// FU executing: elements this cycle.
@@ -510,7 +523,10 @@ func (v *VCL) account(now uint64) {
 				v.Util.PartIdle += uint64(p.lanes - elems)
 				continue
 			}
-			if p.pendingFor(f) {
+			if pending < 0 {
+				pending = int(p.pendingFUs(v.slab))
+			}
+			if pending&(1<<f) != 0 {
 				v.Util.Stalled += uint64(p.lanes)
 			} else {
 				v.Util.AllIdle += uint64(p.lanes)
@@ -519,22 +535,25 @@ func (v *VCL) account(now uint64) {
 	}
 }
 
-// pendingFor reports whether any unissued instruction in the window or
-// VIQ targets arithmetic datapath f (memory instructions do not stall the
-// arithmetic datapaths).
-func (p *partition) pendingFor(f int) bool {
-	for _, u := range p.win {
-		if u.Issued {
-			continue
-		}
-		if inf := u.Dyn.Inst.Op.Info(); inf.Class == isa.ClassVecALU && inf.VFU == f {
-			return true
+// pendingFUs returns the set (bit f for datapath f) of arithmetic
+// datapaths targeted by an unissued instruction in the window or VIQ
+// (memory instructions do not stall the arithmetic datapaths).
+func (p *partition) pendingFUs(slab *pipe.Slab) uint8 {
+	var set uint8
+	for _, h := range p.win {
+		if u := slab.At(h); !u.Issued {
+			set |= vfuBit(u)
 		}
 	}
-	for _, u := range p.viq {
-		if inf := u.Dyn.Inst.Op.Info(); inf.Class == isa.ClassVecALU && inf.VFU == f {
-			return true
-		}
+	for _, h := range p.viq {
+		set |= vfuBit(slab.At(h))
 	}
-	return false
+	return set
+}
+
+func vfuBit(u *pipe.Uop) uint8 {
+	if inf := u.Dyn.Inst.Op.Info(); inf.Class == isa.ClassVecALU {
+		return 1 << inf.VFU
+	}
+	return 0
 }

@@ -11,11 +11,11 @@ import (
 func TestChainingDisabledWaitsForCompletion(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableChaining = true
-	v := New(cfg, mem.NewL2(mem.DefaultL2Config()), 8)
-	u1 := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	u2 := vecUop(0, isa.Instruction{Op: isa.OpVFMul, Rd: isa.V(4), Ra: isa.V(1), Rb: isa.V(5)}, 64, nil)
-	v.Enqueue(u1)
-	v.Enqueue(u2)
+	v := New(cfg, mem.NewL2(mem.DefaultL2Config()), 8, &pipe.Slab{})
+	u1 := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	u2 := vecUop(v, 0, isa.Instruction{Op: isa.OpVFMul, Rd: isa.V(4), Ra: isa.V(1), Rb: isa.V(5)}, 64, nil)
+	v.Enqueue(u1.h)
+	v.Enqueue(u2.h)
 	runCycles(v, 0, 40)
 	// u1 completes at 11 (occupancy 8, latency 4); without chaining u2
 	// waits for completion instead of the chain point (cycle 4).
@@ -30,7 +30,7 @@ func TestChainingDisabledWaitsForCompletion(t *testing.T) {
 }
 
 func TestZeroFieldConfigGetsDefaults(t *testing.T) {
-	v := New(Config{IssueWidth: 1}, mem.NewL2(mem.DefaultL2Config()), 8)
+	v := New(Config{IssueWidth: 1}, mem.NewL2(mem.DefaultL2Config()), 8, &pipe.Slab{})
 	if v.cfg.VIQSize != DefaultConfig().VIQSize || v.cfg.WindowSize != DefaultConfig().WindowSize {
 		t.Errorf("zero fields not defaulted: %+v", v.cfg)
 	}
@@ -41,8 +41,8 @@ func TestZeroFieldConfigGetsDefaults(t *testing.T) {
 
 func TestReductionDoesNotConsumeRename(t *testing.T) {
 	v := newVCL(8)
-	u := vecUop(0, isa.Instruction{Op: isa.OpVRedSum, Rd: isa.R(3), Ra: isa.V(1)}, 8, nil)
-	v.Enqueue(u)
+	u := vecUop(v, 0, isa.Instruction{Op: isa.OpVRedSum, Rd: isa.R(3), Ra: isa.V(1)}, 8, nil)
+	v.Enqueue(u.h)
 	v.Tick(0)
 	if got := v.parts[0].renames; got != 0 {
 		t.Errorf("scalar-destination reduction took %d renames", got)
@@ -58,8 +58,8 @@ func TestVectorStoreCommitsAtLastIssue(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i) * 8
 	}
-	st := vecUop(0, isa.Instruction{Op: isa.OpVSt, Rd: isa.V(1), Ra: isa.R(2)}, 64, addrs)
-	v.Enqueue(st)
+	st := vecUop(v, 0, isa.Instruction{Op: isa.OpVSt, Rd: isa.V(1), Ra: isa.R(2)}, 64, addrs)
+	v.Enqueue(st.h)
 	runCycles(v, 0, 40)
 	if !st.Issued {
 		t.Fatal("store did not issue")
@@ -76,9 +76,9 @@ func TestThreadInFlightTracksPartition(t *testing.T) {
 	if err := v.Partition([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	u := vecUop(1, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 32, nil)
-	u.ScalarProducers = []*pipe.Uop{{DoneCycle: pipe.NeverDone}} // block it
-	v.Enqueue(u)
+	u := vecUop(v, 1, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 32, nil)
+	u.ScalarProducers.Add(scalarProducer(v, pipe.NeverDone)) // block it
+	v.Enqueue(u.h)
 	v.Tick(0)
 	if got := v.ThreadInFlight(1); got != 1 {
 		t.Errorf("ThreadInFlight(1) = %d, want 1", got)
@@ -93,10 +93,10 @@ func TestThreadInFlightTracksPartition(t *testing.T) {
 
 func TestEarlyCommitSetAtIssue(t *testing.T) {
 	v := newVCL(8)
-	u := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	v.Enqueue(u)
-	if u.CommitCycle != 0 { // zero value before issue (test constructs raw uops)
-		t.Skip("uop constructed without CommitCycle; only checking post-issue")
+	u := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	v.Enqueue(u.h)
+	if u.CommitCycle != pipe.NeverDone {
+		t.Fatalf("CommitCycle = %d before issue, want NeverDone", u.CommitCycle)
 	}
 	v.Tick(0)
 	if u.CommitCycle != 1 {
@@ -115,11 +115,11 @@ func TestIssueRoundRobinIsFairAcrossPartitions(t *testing.T) {
 	// Each partition gets a steady stream of short ops; all four threads
 	// must make progress at comparable rates despite 2 issue slots.
 	counts := map[int]int{}
-	var uops []*pipe.Uop
-	pending := map[int][]*pipe.Uop{}
+	var uops []testUop
+	pending := map[int][]testUop{}
 	for tid := 0; tid < 4; tid++ {
 		for k := 0; k < 10; k++ {
-			u := vecUop(tid, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 16, nil)
+			u := vecUop(v, tid, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 16, nil)
 			uops = append(uops, u)
 			pending[tid] = append(pending[tid], u)
 		}
@@ -127,7 +127,7 @@ func TestIssueRoundRobinIsFairAcrossPartitions(t *testing.T) {
 	for c := uint64(0); c < 400; c++ {
 		// Feed with back-pressure, as the scalar units would.
 		for tid := 0; tid < 4; tid++ {
-			for len(pending[tid]) > 0 && v.Enqueue(pending[tid][0]) {
+			for len(pending[tid]) > 0 && v.Enqueue(pending[tid][0].h) {
 				pending[tid] = pending[tid][1:]
 			}
 		}
@@ -150,8 +150,8 @@ func TestUtilizationAcrossPartitionsConserved(t *testing.T) {
 	if err := v.Partition([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	v.Enqueue(vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 20, nil))
-	v.Enqueue(vecUop(1, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 11, nil))
+	v.Enqueue(vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 20, nil).h)
+	v.Enqueue(vecUop(v, 1, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 11, nil).h)
 	const cycles = 50
 	runCycles(v, 0, cycles)
 	want := uint64(cycles * NumVFUs * 8)
@@ -170,8 +170,8 @@ func TestUtilizationAcrossPartitionsConserved(t *testing.T) {
 
 func TestRepartitionResetsRenameState(t *testing.T) {
 	v := newVCL(8)
-	u := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	v.Enqueue(u)
+	u := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	v.Enqueue(u.h)
 	runCycles(v, 0, 40)
 	if !v.Drained(40) {
 		t.Fatal("not drained")
@@ -184,7 +184,7 @@ func TestRepartitionResetsRenameState(t *testing.T) {
 			t.Errorf("partition %d renames = %d after repartition", p.id, p.renames)
 		}
 		for _, w := range p.lastWriter {
-			if w != nil {
+			if w != pipe.None {
 				t.Error("lastWriter state leaked across repartition")
 				break
 			}
